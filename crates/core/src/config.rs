@@ -88,6 +88,19 @@ pub enum CycleType {
     F,
 }
 
+impl CycleType {
+    /// The cycle types of the coarse-level visits one level of this cycle
+    /// makes: V recurses once, W twice, and F once as F then finishes with
+    /// a plain V sweep below the level.
+    pub fn visits(self) -> &'static [CycleType] {
+        match self {
+            CycleType::V => &[CycleType::V],
+            CycleType::W => &[CycleType::W, CycleType::W],
+            CycleType::F => &[CycleType::F, CycleType::V],
+        }
+    }
+}
+
 /// Full AMG configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AmgConfig {

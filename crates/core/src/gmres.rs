@@ -8,6 +8,7 @@
 use crate::config::AmgConfig;
 use crate::diagnostics::{ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use crate::hierarchy::Hierarchy;
+use crate::solve::{cycle, emit_health, SolveWorkspace};
 use crate::vec_ops;
 use amgt_kernels::Ctx;
 use amgt_sim::{Device, HealthEvent, Phase};
@@ -52,16 +53,13 @@ pub fn fgmres_solve(
         .with_policy(cfg.policy)
         .with_exec(cfg.exec);
 
-    // Inner config and V-cycle workspace hoisted out of the Arnoldi loop;
-    // each application still returns an owned vector because the flexible
-    // variant stores the whole preconditioned basis.
-    let mut inner = cfg.clone();
-    inner.max_iterations = 1;
-    inner.tolerance = 0.0;
-    let mut pre_ws = crate::solve::SolveWorkspace::for_hierarchy(h);
-    let precond = |r: &[f64], ws: &mut crate::solve::SolveWorkspace| -> Vec<f64> {
+    // Cycle workspace hoisted out of the Arnoldi loop; each application
+    // still returns an owned vector because the flexible variant stores
+    // the whole preconditioned basis.
+    let mut pre_ws = SolveWorkspace::for_hierarchy(h);
+    let precond = |r: &[f64], ws: &mut SolveWorkspace| -> Vec<f64> {
         let mut z = vec![0.0; n];
-        crate::solve::solve_with_workspace(device, &inner, h, r, &mut z, ws);
+        cycle(device, cfg, h, 0, cfg.cycle, r, z.as_mut_slice(), ws);
         z
     };
 
@@ -150,13 +148,8 @@ pub fn fgmres_solve(
             history.push(rel);
             device.flight_residual(history.len(), None, rel);
             if let Some(m) = monitor.as_mut() {
-                if let Some(mut ev) = m.observe(rel) {
-                    ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-                    if let Some(rec) = device.recorder() {
-                        rec.record_health(ev.clone());
-                    }
-                    device.flight_health(&ev);
-                    health_events.push(ev);
+                if let Some(ev) = m.observe(rel) {
+                    emit_health(device, None, ev, &mut health_events);
                 }
             }
             if rel < tol {

@@ -10,7 +10,7 @@
 
 use crate::aggregation::{aggregate, smoothed_prolongator};
 use crate::backend::{op_transpose, Operator};
-use crate::config::{AmgConfig, BackendKind, Coarsening, PrecisionPolicy};
+use crate::config::{AmgConfig, BackendKind, CoarseSolver, Coarsening, PrecisionPolicy};
 use crate::interp::build_interpolation;
 use crate::pmis::pmis;
 use crate::strength::strength_graph;
@@ -270,60 +270,7 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
     stats.levels = levels.len();
     stats.operator_complexity = stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / nnz0 as f64;
 
-    // Coarsest-level factorization for the direct options.
-    let last_level = (levels.len() - 1) as u32;
-    let mut coarse_lu = None;
-    let mut coarse_ldl = None;
-    match cfg.coarse_solver {
-        crate::config::CoarseSolver::DirectLu => {
-            let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-            let last = levels.last().unwrap();
-            let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
-                .with_policy(cfg.policy)
-                .with_exec(cfg.exec);
-            let n = last.n();
-            let timer = ctx.timer();
-            coarse_lu = Some(Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular"));
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
-                    bytes: (n * n * 8) as f64,
-                    launches: 1,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        crate::config::CoarseSolver::SparseLdl { reorder } => {
-            let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-            let last = levels.last().unwrap();
-            let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
-                .with_policy(cfg.policy)
-                .with_exec(cfg.exec);
-            let timer = ctx.timer();
-            let f = SparseLdl::factor(&last.a.csr, reorder)
-                .expect("coarsest matrix not LDL^T-factorizable");
-            // Charge by actual factor fill: ~2 flops per L entry per
-            // elimination plus the symbolic traversal.
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 4.0 * f.l_nnz() as f64,
-                    int_ops: 2.0 * (f.l_nnz() + last.a.nnz()) as f64,
-                    bytes: (f.l_nnz() * 12 + last.a.nnz() * 12) as f64,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-            coarse_ldl = Some(f);
-        }
-        crate::config::CoarseSolver::Jacobi(_) => {}
-    }
-
+    let (coarse_lu, coarse_ldl) = factor_coarse(device, cfg, &levels);
     let h = Hierarchy {
         levels,
         coarse_lu,
@@ -335,6 +282,57 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
         rec.set_hierarchy(h.diagnostics());
     }
     h
+}
+
+/// Factor the coarsest matrix for the direct coarse solvers, under a
+/// "coarse factorization" span and charged as one setup-phase
+/// `CoarseSolve` kernel — shared by [`setup`] and [`resetup`], so a
+/// refresh pays and traces exactly what the first build did.
+fn factor_coarse(
+    device: &Device,
+    cfg: &AmgConfig,
+    levels: &[Level],
+) -> (Option<Lu>, Option<SparseLdl>) {
+    if let CoarseSolver::Jacobi(_) = cfg.coarse_solver {
+        return (None, None);
+    }
+    let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
+    let last = levels.last().expect("setup builds at least one level");
+    let last_level = (levels.len() - 1) as u32;
+    let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
+        .with_policy(cfg.policy)
+        .with_exec(cfg.exec);
+    let timer = ctx.timer();
+    let (factors, cost) = match cfg.coarse_solver {
+        CoarseSolver::SparseLdl { reorder } => {
+            let f = SparseLdl::factor(&last.a.csr, reorder)
+                .expect("coarsest matrix not LDL^T-factorizable");
+            // Charge by actual factor fill: ~2 flops per L entry per
+            // elimination plus the symbolic traversal.
+            let cost = KernelCost {
+                cuda_flops: 4.0 * f.l_nnz() as f64,
+                int_ops: 2.0 * (f.l_nnz() + last.a.nnz()) as f64,
+                bytes: (f.l_nnz() * 12 + last.a.nnz() * 12) as f64,
+                launches: 2,
+                ..Default::default()
+            };
+            ((None, Some(f)), cost)
+        }
+        CoarseSolver::DirectLu => {
+            let n = last.n();
+            let lu = Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular");
+            let cost = KernelCost {
+                cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
+                bytes: (n * n * 8) as f64,
+                launches: 1,
+                ..Default::default()
+            };
+            ((Some(lu), None), cost)
+        }
+        CoarseSolver::Jacobi(_) => unreachable!("iterative coarse solves factor nothing"),
+    };
+    ctx.charge_timed(KernelKind::CoarseSolve, Algo::Shared, &cost, timer);
+    factors
 }
 
 /// Value-only re-setup for a *sequence* of systems with a fixed sparsity
@@ -378,39 +376,7 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
     h.stats.operator_complexity =
         h.stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / h.stats.grid_nnz[0].max(1) as f64;
 
-    // Refresh the coarse factorization.
-    let last_level = (n_levels - 1) as u32;
-    match cfg.coarse_solver {
-        crate::config::CoarseSolver::DirectLu => {
-            let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-            let last = h.levels.last().unwrap();
-            let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
-                .with_policy(cfg.policy)
-                .with_exec(cfg.exec);
-            let n = last.n();
-            let timer = ctx.timer();
-            h.coarse_lu = Some(Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular"));
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
-                    bytes: (n * n * 8) as f64,
-                    launches: 1,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        crate::config::CoarseSolver::SparseLdl { reorder } => {
-            let last = h.levels.last().unwrap();
-            h.coarse_ldl = Some(
-                SparseLdl::factor(&last.a.csr, reorder)
-                    .expect("coarsest matrix not LDL^T-factorizable"),
-            );
-        }
-        crate::config::CoarseSolver::Jacobi(_) => {}
-    }
+    (h.coarse_lu, h.coarse_ldl) = factor_coarse(device, cfg, &h.levels);
 
     if let Some(rec) = device.recorder() {
         rec.set_hierarchy(h.diagnostics());
@@ -571,6 +537,35 @@ mod tests {
                 .csr
                 .matmul(&l0.a.csr.matmul(&l0.p.as_ref().unwrap().csr));
         assert!(h.levels[1].a.csr.max_abs_diff(&expect) < 1e-9);
+    }
+
+    #[test]
+    fn resetup_charges_coarse_factorization_like_setup() {
+        // Both direct coarse solvers: a refresh of the same matrix pays and
+        // traces the setup-phase factorization exactly as the build did.
+        let a = laplacian_2d(18, 18, Stencil2d::Five);
+        for coarse in [
+            CoarseSolver::SparseLdl { reorder: true },
+            CoarseSolver::DirectLu,
+        ] {
+            let mut cfg = AmgConfig::amgt_fp64();
+            cfg.coarse_solver = coarse;
+            let dev = Device::new(GpuSpec::a100());
+            let factorizations = |from: usize| {
+                let evs: Vec<_> = dev.events()[from..]
+                    .iter()
+                    .filter(|e| e.kind == KernelKind::CoarseSolve && e.phase == Phase::Setup)
+                    .map(|e| e.seconds)
+                    .collect();
+                (evs.len(), evs.iter().sum::<f64>())
+            };
+            let mut h = setup(&dev, &cfg, a.clone());
+            let built = factorizations(0);
+            assert_eq!(built.0, 1, "{coarse:?}");
+            let before = dev.events().len();
+            resetup(&dev, &cfg, &mut h, a.clone());
+            assert_eq!(factorizations(before), built, "{coarse:?}");
+        }
     }
 
     #[test]

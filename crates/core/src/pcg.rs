@@ -2,12 +2,14 @@
 //!
 //! Section II.B notes that the solve phase is often wrapped in PCG for
 //! faster convergence, adding further SpMV calls per iteration. This module
-//! provides that wrapper: each PCG iteration applies one V-cycle of the
-//! hierarchy as the preconditioner `M^{-1}`.
+//! provides that wrapper: each PCG iteration applies one cycle of the
+//! hierarchy as the preconditioner `M^{-1}` — the bare [`cycle`], so an
+//! iteration costs one SpMV plus one cycle's Section V.A SpMV count.
 
 use crate::config::AmgConfig;
 use crate::diagnostics::{ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use crate::hierarchy::Hierarchy;
+use crate::solve::{cycle, emit_health, SolveWorkspace};
 use crate::vec_ops;
 use amgt_kernels::Ctx;
 use amgt_sim::{Device, HealthEvent, Phase};
@@ -49,17 +51,14 @@ pub fn pcg_solve(
         .with_policy(cfg.policy)
         .with_exec(cfg.exec);
 
-    // One V-cycle as the preconditioner application. The inner config, the
-    // output buffer and the V-cycle workspace are hoisted out of the
+    // One cycle from a zero guess as the preconditioner application; the
+    // output buffer and the cycle workspace are hoisted out of the
     // iteration loop and reused by every application.
-    let mut inner = cfg.clone();
-    inner.max_iterations = 1;
-    inner.tolerance = 0.0;
-    let mut pre_ws = crate::solve::SolveWorkspace::for_hierarchy(h);
-    let precond = |r: &[f64], z: &mut Vec<f64>, ws: &mut crate::solve::SolveWorkspace| {
+    let mut pre_ws = SolveWorkspace::for_hierarchy(h);
+    let precond = |r: &[f64], z: &mut Vec<f64>, ws: &mut SolveWorkspace| {
         z.clear();
         z.resize(n, 0.0);
-        crate::solve::solve_with_workspace(device, &inner, h, r, z, ws);
+        cycle(device, cfg, h, 0, cfg.cycle, r, z.as_mut_slice(), ws);
     };
 
     let b_norm = {
@@ -107,13 +106,8 @@ pub fn pcg_solve(
         let rel = vec_ops::norm2(&ctx, &r) / b_norm;
         history.push(rel);
         device.flight_residual(history.len(), None, rel);
-        if let Some(mut ev) = monitor.observe(rel) {
-            ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-            if let Some(rec) = device.recorder() {
-                rec.record_health(ev.clone());
-            }
-            device.flight_health(&ev);
-            health_events.push(ev);
+        if let Some(ev) = monitor.observe(rel) {
+            emit_health(device, None, ev, &mut health_events);
         }
         if monitor.nonfinite() {
             break; // Only non-finite aborts a Krylov wrapper.
@@ -189,6 +183,34 @@ mod tests {
         let rep = pcg_solve(&dev, &cfg, &h, &b, &mut x, 1e-12, 30);
         assert!(rep.history.len() >= 2);
         assert!(rep.history.last().unwrap() < &rep.history[0]);
+    }
+
+    #[test]
+    fn pcg_iteration_costs_one_spmv_plus_one_cycle() {
+        use amgt_sim::KernelKind;
+        let a = laplacian_2d(20, 20, Stencil2d::Five);
+        let b = rhs_of_ones(&a);
+        let cfg = AmgConfig::amgt_fp64();
+        let spmvs = |max_iters: usize| {
+            let dev = Device::new(GpuSpec::a100());
+            let h = setup(&dev, &cfg, a.clone());
+            let start = dev.events().len();
+            let mut x = vec![0.0; b.len()];
+            // Unreachable tolerance: every iteration runs to the end.
+            let rep = pcg_solve(&dev, &cfg, &h, &b, &mut x, 1e-300, max_iters);
+            assert_eq!(rep.iterations, max_iters);
+            let n = dev.events()[start..]
+                .iter()
+                .filter(|e| e.kind == KernelKind::SpMV)
+                .count();
+            (n, h.n_levels())
+        };
+        let (one, levels) = spmvs(1);
+        let (two, _) = spmvs(2);
+        // One iteration: the `A p` product plus one bare preconditioner
+        // cycle (Section V.A per-cycle count), no residual bookkeeping.
+        let per_cycle = crate::solve::cycle_spmv_calls(levels, cfg.coarse_solver, cfg.num_sweeps);
+        assert_eq!(two - one, 1 + per_cycle);
     }
 
     #[test]

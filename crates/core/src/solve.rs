@@ -7,8 +7,14 @@
 //! extra SpMV per iteration evaluates the outer residual — 1551 calls for a
 //! 7-level grid over 50 iterations with a direct coarse solver, 1601/1701
 //! with iterative ones (Section V.A).
+//!
+//! The cycle itself is written once, in [`cycle`], generic over the
+//! [`Block`] it runs on: one right-hand side (`[f64]`, every operator an
+//! SpMV) or a batch ([`MultiVector`], every operator a fused SpMM). The
+//! stationary loops, the Krylov preconditioners and the distributed
+//! solver's gathered coarse region all call it.
 
-use crate::backend::OpScratch;
+use crate::backend::{OpScratch, Operator};
 use crate::config::{AmgConfig, CoarseSolver, CycleType, Smoother};
 use crate::diagnostics::{ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use crate::hierarchy::{level_precision, Hierarchy, Level};
@@ -16,18 +22,21 @@ use crate::vec_ops;
 use amgt_kernels::spmm_mbsr::MultiVector;
 use amgt_kernels::Ctx;
 use amgt_sim::{Algo, Device, HealthEvent, KernelCost, KernelKind, Phase, SpanKind, SpanLabel};
+use sealed::Sealed;
+use std::borrow::{Borrow, BorrowMut};
 
-/// Reusable buffers for one level position of the V-cycle: every vector the
-/// cycle materializes at that level (residual chain, coarse correction,
-/// smoother temporaries, coarse-solve staging) plus the kernel scratch.
-/// Buffers grow monotonically and are reused across iterations and solves.
+/// Reusable buffers for one level position of the cycle over one block
+/// type `V` (`Vec<f64>` or [`MultiVector`]): every vector the cycle
+/// materializes at that level (residual chain, coarse correction, smoother
+/// temporaries, coarse-solve staging) plus the kernel scratch. Buffers grow
+/// monotonically and are reused across iterations and solves.
 #[derive(Clone, Debug, Default)]
-pub struct LevelWorkspace {
-    ax: Vec<f64>,
-    r: Vec<f64>,
-    b_next: Vec<f64>,
-    x_next: Vec<f64>,
-    e: Vec<f64>,
+pub struct LevelWorkspace<V> {
+    ax: V,
+    r: V,
+    b_next: V,
+    x_next: V,
+    e: V,
     /// Weighted-Jacobi scaled diagonal (`diag_inv * w`).
     scaled: Vec<f64>,
     /// Pre-sweep solution copy for hybrid Gauss-Seidel.
@@ -37,26 +46,23 @@ pub struct LevelWorkspace {
     /// Coarse LDL^T permuted working vector.
     sol2: Vec<f64>,
     op: OpScratch,
-    // Multi-vector mirrors for the batched solve path.
-    ax_mv: MultiVector,
-    r_mv: MultiVector,
-    b_next_mv: MultiVector,
-    x_next_mv: MultiVector,
-    e_mv: MultiVector,
 }
 
 /// Preallocated solve-phase buffers for a hierarchy: one [`LevelWorkspace`]
-/// per level plus the outer-residual buffers and batched gather staging.
+/// per level and block type plus the outer-residual buffers and batched
+/// gather staging.
 ///
 /// Create once (or keep alongside a cached hierarchy) and pass to
-/// [`solve_with_workspace`] / [`solve_batched_with_workspace`]: after the
-/// first iteration has grown every buffer, steady-state V-cycles perform no
-/// heap allocation. All `_into` paths produce bitwise-identical iterates to
-/// the allocating entry points.
+/// [`solve_with_workspace`] / [`solve_batched_with_workspace`] / [`cycle`]:
+/// after the first iteration has grown every buffer, steady-state cycles
+/// perform no heap allocation. All `_into` paths produce bitwise-identical
+/// iterates to the allocating entry points.
 #[derive(Clone, Debug, Default)]
 pub struct SolveWorkspace {
-    levels: Vec<LevelWorkspace>,
-    outer: LevelWorkspace,
+    levels: Vec<LevelWorkspace<Vec<f64>>>,
+    levels_mv: Vec<LevelWorkspace<MultiVector>>,
+    outer: LevelWorkspace<Vec<f64>>,
+    outer_mv: LevelWorkspace<MultiVector>,
     bc_mv: MultiVector,
     xc_mv: MultiVector,
 }
@@ -69,11 +75,131 @@ impl SolveWorkspace {
         ws
     }
 
-    /// Grow the per-level pool to cover `h`. Idempotent; never shrinks, so
+    /// Grow the per-level pools to cover `h`. Idempotent; never shrinks, so
     /// one workspace can serve hierarchies of different depths.
     pub fn ensure(&mut self, h: &Hierarchy) {
         if self.levels.len() < h.n_levels() {
             self.levels.resize_with(h.n_levels(), Default::default);
+            self.levels_mv.resize_with(h.n_levels(), Default::default);
+        }
+    }
+}
+
+/// What [`cycle`] runs on: one right-hand side (`[f64]`) or a column-major
+/// batch ([`MultiVector`]). Sealed — the operations it maps (operator
+/// apply, `sub`, `axpy`, fused Jacobi, zeroing, per-column access) are the
+/// solver's, and these two are its only block types.
+pub trait Block: Sealed {}
+
+impl Block for [f64] {}
+impl Block for MultiVector {}
+
+mod sealed {
+    use super::{LevelWorkspace, MultiVector, OpScratch, Operator, SolveWorkspace};
+    use crate::vec_ops;
+    use amgt_kernels::Ctx;
+    use std::borrow::BorrowMut;
+
+    pub trait Sealed {
+        /// Owned buffer of the same shape (the workspace's storage).
+        type Buf: BorrowMut<Self> + Clone + std::fmt::Debug + Default;
+        /// This block type's per-level buffer pool.
+        fn levels(ws: &mut SolveWorkspace) -> &mut [LevelWorkspace<Self::Buf>];
+        fn ncols(&self) -> usize;
+        fn col(&self, j: usize) -> &[f64];
+        fn col_mut(&mut self, j: usize) -> &mut [f64];
+        /// Every value, column-major.
+        fn values(&self) -> &[f64];
+        /// `y = op * x`: an SpMV for one vector, a fused SpMM for a batch.
+        fn apply(op: &Operator, ctx: &Ctx, x: &Self, scratch: &mut OpScratch, y: &mut Self::Buf);
+        fn sub_into(ctx: &Ctx, x: &Self, y: &Self, z: &mut Self::Buf);
+        fn axpy(ctx: &Ctx, alpha: f64, x: &Self, y: &mut Self);
+        fn jacobi_fused(ctx: &Ctx, dinv: &[f64], b: &Self, ax: &Self, x: &mut Self);
+        /// Reset `buf` to zeros shaped like `like` (uncharged: a fresh
+        /// zero initial guess, not a kernel).
+        fn zero_like(buf: &mut Self::Buf, like: &Self);
+    }
+
+    impl Sealed for [f64] {
+        type Buf = Vec<f64>;
+        fn levels(ws: &mut SolveWorkspace) -> &mut [LevelWorkspace<Vec<f64>>] {
+            &mut ws.levels
+        }
+        fn ncols(&self) -> usize {
+            1
+        }
+        fn col(&self, _: usize) -> &[f64] {
+            self
+        }
+        fn col_mut(&mut self, _: usize) -> &mut [f64] {
+            self
+        }
+        fn values(&self) -> &[f64] {
+            self
+        }
+        fn apply(op: &Operator, ctx: &Ctx, x: &[f64], scratch: &mut OpScratch, y: &mut Vec<f64>) {
+            op.spmv_into(ctx, x, scratch, y);
+        }
+        fn sub_into(ctx: &Ctx, x: &[f64], y: &[f64], z: &mut Vec<f64>) {
+            vec_ops::sub_into(ctx, x, y, z);
+        }
+        fn axpy(ctx: &Ctx, alpha: f64, x: &[f64], y: &mut [f64]) {
+            vec_ops::axpy(ctx, alpha, x, y);
+        }
+        fn jacobi_fused(ctx: &Ctx, dinv: &[f64], b: &[f64], ax: &[f64], x: &mut [f64]) {
+            vec_ops::jacobi_fused(ctx, dinv, b, ax, x);
+        }
+        fn zero_like(buf: &mut Vec<f64>, like: &[f64]) {
+            buf.clear();
+            buf.resize(like.len(), 0.0);
+        }
+    }
+
+    impl Sealed for MultiVector {
+        type Buf = MultiVector;
+        fn levels(ws: &mut SolveWorkspace) -> &mut [LevelWorkspace<MultiVector>] {
+            &mut ws.levels_mv
+        }
+        fn ncols(&self) -> usize {
+            self.ncols
+        }
+        fn col(&self, j: usize) -> &[f64] {
+            MultiVector::col(self, j)
+        }
+        fn col_mut(&mut self, j: usize) -> &mut [f64] {
+            MultiVector::col_mut(self, j)
+        }
+        fn values(&self) -> &[f64] {
+            &self.data
+        }
+        fn apply(
+            op: &Operator,
+            ctx: &Ctx,
+            x: &MultiVector,
+            scratch: &mut OpScratch,
+            y: &mut MultiVector,
+        ) {
+            op.spmm_into(ctx, x, scratch, y);
+        }
+        fn sub_into(ctx: &Ctx, x: &MultiVector, y: &MultiVector, z: &mut MultiVector) {
+            vec_ops::sub_mv_into(ctx, x, y, z);
+        }
+        fn axpy(ctx: &Ctx, alpha: f64, x: &MultiVector, y: &mut MultiVector) {
+            vec_ops::axpy_mv(ctx, alpha, x, y);
+        }
+        fn jacobi_fused(
+            ctx: &Ctx,
+            dinv: &[f64],
+            b: &MultiVector,
+            ax: &MultiVector,
+            x: &mut MultiVector,
+        ) {
+            vec_ops::jacobi_fused_mv(ctx, dinv, b, ax, x);
+        }
+        fn zero_like(buf: &mut MultiVector, like: &MultiVector) {
+            // Reshape keeps stale data; the fill makes it a zero guess.
+            buf.reshape(like.nrows, like.ncols);
+            buf.data.fill(0.0);
         }
     }
 }
@@ -105,10 +231,10 @@ impl SolveReport {
 /// finest poisoned level wins — the level that *produced* the NaN, not the
 /// levels it propagated to).
 #[derive(Clone, Copy, Debug)]
-struct NonFiniteSite {
-    level: u32,
-    precision: &'static str,
-    stage: &'static str,
+pub struct NonFiniteSite {
+    pub level: u32,
+    pub precision: &'static str,
+    pub stage: &'static str,
 }
 
 /// Record the first non-finite sighting. Pure CPU-side inspection of data
@@ -130,33 +256,62 @@ fn check_finite(
     }
 }
 
+/// Emit a health event: with `cfg` (the stationary loops), a level-less
+/// event — divergence and stagnation fire at the outer residual check — is
+/// attributed to the finest level and its active precision, so a
+/// post-mortem names the grid that failed; the event is then stamped with
+/// the device's trace id, recorded to the installed recorder and the
+/// flight ring, and pushed to `sink`.
+pub fn emit_health(
+    device: &Device,
+    cfg: Option<&AmgConfig>,
+    mut ev: HealthEvent,
+    sink: &mut Vec<HealthEvent>,
+) {
+    if let (Some(cfg), None) = (cfg, ev.level) {
+        ev.level = Some(0);
+        ev.precision = Some(level_precision(device, cfg, 0).label());
+    }
+    ev.trace_id = device.flight_id().map_or(0, |id| id.get());
+    if let Some(rec) = device.recorder() {
+        rec.record_health(ev.clone());
+    }
+    device.flight_health(&ev);
+    sink.push(ev);
+}
+
 /// Rows per Gauss-Seidel block in the hybrid smoother (GS inside a block,
 /// Jacobi across blocks — the standard GPU-parallel compromise).
 const GS_BLOCK: usize = 256;
 
-/// One smoothing sweep. Jacobi-type smoothers cost one SpMV plus a fused
-/// vector update (the paper's accounting); hybrid Gauss-Seidel traverses
-/// the matrix once and is charged like an SpMV.
-fn smooth(
+/// One smoothing sweep. Jacobi-type smoothers cost one SpMV (SpMM over a
+/// batch) plus a fused vector update (the paper's accounting); hybrid
+/// Gauss-Seidel is sequential per column, traverses the matrix once per
+/// column and is charged like an SpMV.
+fn smooth<B: Block + ?Sized>(
     ctx: &Ctx,
     cfg: &AmgConfig,
     lvl: &Level,
-    b: &[f64],
-    x: &mut [f64],
-    lw: &mut LevelWorkspace,
+    b: &B,
+    x: &mut B,
+    lw: &mut LevelWorkspace<B::Buf>,
 ) {
     match cfg.smoother {
         Smoother::L1Jacobi => {
-            lvl.a.spmv_into(ctx, x, &mut lw.op, &mut lw.ax);
-            vec_ops::jacobi_fused(ctx, &lvl.l1_diag_inv, b, &lw.ax, x);
+            B::apply(&lvl.a, ctx, x, &mut lw.op, &mut lw.ax);
+            B::jacobi_fused(ctx, &lvl.l1_diag_inv, b, lw.ax.borrow(), x);
         }
         Smoother::WeightedJacobi(w) => {
-            lvl.a.spmv_into(ctx, x, &mut lw.op, &mut lw.ax);
+            B::apply(&lvl.a, ctx, x, &mut lw.op, &mut lw.ax);
             lw.scaled.clear();
             lw.scaled.extend(lvl.diag_inv.iter().map(|&d| d * w));
-            vec_ops::jacobi_fused(ctx, &lw.scaled, b, &lw.ax, x);
+            B::jacobi_fused(ctx, &lw.scaled, b, lw.ax.borrow(), x);
         }
-        Smoother::HybridGaussSeidel => hybrid_gauss_seidel(ctx, lvl, b, x, &mut lw.gs_old),
+        Smoother::HybridGaussSeidel => {
+            for j in 0..x.ncols() {
+                hybrid_gauss_seidel(ctx, lvl, b.col(j), x.col_mut(j), &mut lw.gs_old);
+            }
+        }
     }
 }
 
@@ -220,86 +375,89 @@ fn hybrid_gauss_seidel(ctx: &Ctx, lvl: &Level, b: &[f64], x: &mut [f64], gs_old:
     ctx.charge_timed(KernelKind::SpMV, Algo::Shared, &cost, timer);
 }
 
-/// Solve the coarsest level (Algorithm 2, line 6).
-fn coarse_solve(
+/// Solve the coarsest level (Algorithm 2, line 6). The direct
+/// factorizations solve column by column (their cost is per column by
+/// nature, and they overwrite the column, so solving in place is exact);
+/// the Jacobi option smooths the whole block per sweep.
+fn coarse_solve<B: Block + ?Sized>(
     ctx: &Ctx,
     cfg: &AmgConfig,
     h: &Hierarchy,
-    b: &[f64],
-    x: &mut [f64],
-    lw: &mut LevelWorkspace,
+    b: &B,
+    x: &mut B,
+    lw: &mut LevelWorkspace<B::Buf>,
 ) {
-    let lvl = h.levels.last().unwrap();
-    match cfg.coarse_solver {
-        CoarseSolver::DirectLu => {
-            let timer = ctx.timer();
-            let lu = h.coarse_lu.as_ref().expect("LU prepared in setup");
-            lu.solve_into(b, &mut lw.sol);
-            x.copy_from_slice(&lw.sol);
-            let n = lvl.n() as f64;
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
+    let lvl = h.levels.last().expect("a hierarchy has a coarsest level");
+    if let CoarseSolver::Jacobi(sweeps) = cfg.coarse_solver {
+        for _ in 0..sweeps {
+            smooth(ctx, cfg, lvl, b, x, lw);
+        }
+        return;
+    }
+    for j in 0..x.ncols() {
+        let timer = ctx.timer();
+        let n = lvl.n() as f64;
+        let cost = match cfg.coarse_solver {
+            CoarseSolver::SparseLdl { .. } => {
+                let f = h.coarse_ldl.as_ref().expect("LDL^T prepared in setup");
+                f.solve_into(b.col(j), &mut lw.sol2, &mut lw.sol);
+                KernelCost {
+                    cuda_flops: 4.0 * f.l_nnz() as f64 + 2.0 * n,
+                    bytes: (f.l_nnz() * 12 + lvl.n() * 16) as f64,
+                    launches: 2,
+                    ..Default::default()
+                }
+            }
+            CoarseSolver::DirectLu => {
+                let lu = h.coarse_lu.as_ref().expect("LU prepared in setup");
+                lu.solve_into(b.col(j), &mut lw.sol);
+                KernelCost {
                     cuda_flops: 2.0 * n * n,
                     bytes: n * n * 8.0,
                     launches: 2,
                     ..Default::default()
-                },
-                timer,
-            );
-        }
-        CoarseSolver::SparseLdl { .. } => {
-            let timer = ctx.timer();
-            let f = h.coarse_ldl.as_ref().expect("LDL^T prepared in setup");
-            f.solve_into(b, &mut lw.sol2, &mut lw.sol);
-            x.copy_from_slice(&lw.sol);
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 4.0 * f.l_nnz() as f64 + 2.0 * lvl.n() as f64,
-                    bytes: (f.l_nnz() * 12 + lvl.n() * 16) as f64,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        CoarseSolver::Jacobi(sweeps) => {
-            for _ in 0..sweeps {
-                smooth(ctx, cfg, lvl, b, x, lw);
+                }
             }
-        }
+            CoarseSolver::Jacobi(_) => unreachable!("iterative coarse solve smooths above"),
+        };
+        x.col_mut(j).copy_from_slice(&lw.sol);
+        ctx.charge_timed(KernelKind::CoarseSolve, Algo::Shared, &cost, timer);
     }
 }
 
-/// One multigrid cycle starting at level `k` (Algorithm 2 for V; W and F
-/// visit coarse levels more than once).
+/// One multigrid cycle of type `cycle_type` starting at level `k`
+/// (Algorithm 2 for V; W and F visit coarse levels more than once),
+/// improving `x` in place for the right-hand side `b`. A single vector
+/// runs every operator as an SpMV, a batch as one fused SpMM per operator,
+/// with each batch column bitwise equal to a single-vector cycle of it.
+///
+/// Returns the first non-finite sighting (the finest poisoned level).
 #[allow(clippy::too_many_arguments)]
-fn vcycle(
+pub fn cycle<B: Block + ?Sized>(
     device: &Device,
     cfg: &AmgConfig,
     h: &Hierarchy,
     k: usize,
-    b: &[f64],
-    x: &mut [f64],
-    poison: &mut Option<NonFiniteSite>,
+    cycle_type: CycleType,
+    b: &B,
+    x: &mut B,
     ws: &mut SolveWorkspace,
-) {
+) -> Option<NonFiniteSite> {
     let _level_span = device.span(SpanKind::Level, SpanLabel::with("level", k as u64));
     let lvl = &h.levels[k];
     let ctx = Ctx::new(device, Phase::Solve, k as u32, lvl.precision)
         .with_policy(cfg.policy)
         .with_exec(cfg.exec);
+    ws.ensure(h);
+    let mut poison = None;
     // Detach this level's buffers so the recursion below can borrow the
     // pool for the coarser levels; reattached on every exit path.
-    let mut lw = std::mem::take(&mut ws.levels[k]);
+    let mut lw = std::mem::take(&mut B::levels(ws)[k]);
     if k + 1 == h.n_levels() {
         coarse_solve(&ctx, cfg, h, b, x, &mut lw);
-        check_finite(poison, x, lvl, k, "coarse solve");
-        ws.levels[k] = lw;
-        return;
+        check_finite(&mut poison, x.values(), lvl, k, "coarse solve");
+        B::levels(ws)[k] = lw;
+        return poison;
     }
 
     // Pre-smoothing (mu_1 sweeps).
@@ -309,63 +467,44 @@ fn vcycle(
     // Non-finite check *before* recursing: a NaN born here would otherwise
     // propagate down the restricted residual and be misattributed to the
     // coarsest level on unwind.
-    check_finite(poison, x, lvl, k, "pre-smoothing");
+    check_finite(&mut poison, x.values(), lvl, k, "pre-smoothing");
 
     // Residual and restriction.
-    lvl.a.spmv_into(&ctx, x, &mut lw.op, &mut lw.ax);
-    vec_ops::sub_into(&ctx, b, &lw.ax, &mut lw.r);
+    B::apply(&lvl.a, &ctx, x, &mut lw.op, &mut lw.ax);
+    B::sub_into(&ctx, b, lw.ax.borrow(), &mut lw.r);
     let restriction = lvl.r.as_ref().expect("non-coarsest level has R");
-    restriction.spmv_into(&ctx, &lw.r, &mut lw.op, &mut lw.b_next);
+    B::apply(restriction, &ctx, lw.r.borrow(), &mut lw.op, &mut lw.b_next);
 
     // Recurse with a zero initial guess (the reused buffer must be
     // re-zeroed: it carries the previous cycle's correction); W/F recurse
     // twice per level, the second visit continuing from the first.
-    lw.x_next.clear();
-    lw.x_next.resize(lw.b_next.len(), 0.0);
-    let visits = match cfg.cycle {
-        CycleType::V => 1,
-        CycleType::W | CycleType::F => 2,
-    };
-    for visit in 0..visits {
-        if cfg.cycle == CycleType::F && visit == 1 {
-            // F-cycle tail: finish with a plain V sweep below this level.
-            let mut vcfg = cfg.clone();
-            vcfg.cycle = CycleType::V;
-            vcycle(
-                device,
-                &vcfg,
-                h,
-                k + 1,
-                &lw.b_next,
-                &mut lw.x_next,
-                poison,
-                ws,
-            );
-        } else {
-            vcycle(
-                device,
-                cfg,
-                h,
-                k + 1,
-                &lw.b_next,
-                &mut lw.x_next,
-                poison,
-                ws,
-            );
-        }
+    B::zero_like(&mut lw.x_next, lw.b_next.borrow());
+    for &sub in cycle_type.visits() {
+        let site = self::cycle(
+            device,
+            cfg,
+            h,
+            k + 1,
+            sub,
+            lw.b_next.borrow(),
+            lw.x_next.borrow_mut(),
+            ws,
+        );
+        poison = poison.or(site);
     }
 
     // Interpolation and correction.
     let p = lvl.p.as_ref().expect("non-coarsest level has P");
-    p.spmv_into(&ctx, &lw.x_next, &mut lw.op, &mut lw.e);
-    vec_ops::axpy(&ctx, 1.0, &lw.e, x);
+    B::apply(p, &ctx, lw.x_next.borrow(), &mut lw.op, &mut lw.e);
+    B::axpy(&ctx, 1.0, lw.e.borrow(), x);
 
     // Post-smoothing (mu_2 sweeps).
     for _ in 0..cfg.num_sweeps {
         smooth(&ctx, cfg, lvl, b, x, &mut lw);
     }
-    check_finite(poison, x, lvl, k, "post-smoothing");
-    ws.levels[k] = lw;
+    check_finite(&mut poison, x.values(), lvl, k, "post-smoothing");
+    B::levels(ws)[k] = lw;
+    poison
 }
 
 /// Run the solve phase: `max_iterations` V-cycles (with optional early exit
@@ -433,8 +572,7 @@ pub fn solve_with_workspace(
             SpanKind::Iteration,
             SpanLabel::with("iteration", (it + 1) as u64),
         );
-        let mut poison = None;
-        vcycle(device, cfg, h, 0, b, x, &mut poison, ws);
+        let poison = cycle(device, cfg, h, 0, cfg.cycle, b, x.as_mut_slice(), ws);
         iterations += 1;
         // Residual after the cycle (one SpMV per iteration).
         h.finest()
@@ -453,20 +591,8 @@ pub fn solve_with_workspace(
         } else {
             monitor.observe(final_norm / b_norm)
         };
-        if let Some(mut ev) = event {
-            // Divergence/stagnation fire at the outer residual check;
-            // attribute them to the finest level and its active precision
-            // so a post-mortem names the grid that failed.
-            if ev.level.is_none() {
-                ev.level = Some(0);
-                ev.precision = Some(level_precision(device, cfg, 0).label());
-            }
-            ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-            if let Some(rec) = device.recorder() {
-                rec.record_health(ev.clone());
-            }
-            device.flight_health(&ev);
-            health_events.push(ev);
+        if let Some(ev) = event {
+            emit_health(device, Some(cfg), ev, &mut health_events);
         }
         if monitor.should_abort() {
             break;
@@ -530,154 +656,6 @@ impl BatchedSolveReport {
     }
 }
 
-/// Batched smoothing sweep: one fused SpMM over all columns for the
-/// Jacobi-type smoothers; hybrid Gauss-Seidel is inherently sequential per
-/// column and falls back to a column loop.
-fn smooth_mv(
-    ctx: &Ctx,
-    cfg: &AmgConfig,
-    lvl: &Level,
-    b: &MultiVector,
-    x: &mut MultiVector,
-    lw: &mut LevelWorkspace,
-) {
-    match cfg.smoother {
-        Smoother::L1Jacobi => {
-            lvl.a.spmm_into(ctx, x, &mut lw.op, &mut lw.ax_mv);
-            vec_ops::jacobi_fused_mv(ctx, &lvl.l1_diag_inv, b, &lw.ax_mv, x);
-        }
-        Smoother::WeightedJacobi(w) => {
-            lvl.a.spmm_into(ctx, x, &mut lw.op, &mut lw.ax_mv);
-            lw.scaled.clear();
-            lw.scaled.extend(lvl.diag_inv.iter().map(|&d| d * w));
-            vec_ops::jacobi_fused_mv(ctx, &lw.scaled, b, &lw.ax_mv, x);
-        }
-        Smoother::HybridGaussSeidel => {
-            let n = x.nrows;
-            for j in 0..x.ncols {
-                hybrid_gauss_seidel(
-                    ctx,
-                    lvl,
-                    &b.data[j * n..(j + 1) * n],
-                    x.col_mut(j),
-                    &mut lw.gs_old,
-                );
-            }
-        }
-    }
-}
-
-/// Batched coarsest-level solve. The direct factorizations run one
-/// triangular solve per column (their cost is per-column by nature); the
-/// Jacobi option smooths the whole batch per sweep.
-fn coarse_solve_mv(
-    ctx: &Ctx,
-    cfg: &AmgConfig,
-    h: &Hierarchy,
-    b: &MultiVector,
-    x: &mut MultiVector,
-    lw: &mut LevelWorkspace,
-) {
-    match cfg.coarse_solver {
-        CoarseSolver::DirectLu | CoarseSolver::SparseLdl { .. } => {
-            let n = x.nrows;
-            // The direct paths fully overwrite the column, so solving in
-            // place is exact.
-            for j in 0..x.ncols {
-                coarse_solve(ctx, cfg, h, &b.data[j * n..(j + 1) * n], x.col_mut(j), lw);
-            }
-        }
-        CoarseSolver::Jacobi(sweeps) => {
-            let lvl = h.levels.last().unwrap();
-            for _ in 0..sweeps {
-                smooth_mv(ctx, cfg, lvl, b, x, lw);
-            }
-        }
-    }
-}
-
-/// One batched multigrid cycle starting at level `k`: the multi-vector
-/// mirror of [`vcycle`], with every SpMV widened to an SpMM over the batch.
-#[allow(clippy::too_many_arguments)]
-fn vcycle_mv(
-    device: &Device,
-    cfg: &AmgConfig,
-    h: &Hierarchy,
-    k: usize,
-    b: &MultiVector,
-    x: &mut MultiVector,
-    poison: &mut Option<NonFiniteSite>,
-    ws: &mut SolveWorkspace,
-) {
-    let _level_span = device.span(SpanKind::Level, SpanLabel::with("level", k as u64));
-    let lvl = &h.levels[k];
-    let ctx = Ctx::new(device, Phase::Solve, k as u32, lvl.precision)
-        .with_policy(cfg.policy)
-        .with_exec(cfg.exec);
-    let mut lw = std::mem::take(&mut ws.levels[k]);
-    if k + 1 == h.n_levels() {
-        coarse_solve_mv(&ctx, cfg, h, b, x, &mut lw);
-        check_finite(poison, &x.data, lvl, k, "coarse solve");
-        ws.levels[k] = lw;
-        return;
-    }
-
-    for _ in 0..cfg.num_sweeps {
-        smooth_mv(&ctx, cfg, lvl, b, x, &mut lw);
-    }
-    check_finite(poison, &x.data, lvl, k, "pre-smoothing");
-
-    lvl.a.spmm_into(&ctx, x, &mut lw.op, &mut lw.ax_mv);
-    vec_ops::sub_mv_into(&ctx, b, &lw.ax_mv, &mut lw.r_mv);
-    let restriction = lvl.r.as_ref().expect("non-coarsest level has R");
-    restriction.spmm_into(&ctx, &lw.r_mv, &mut lw.op, &mut lw.b_next_mv);
-
-    // Zero initial guess in the reused buffer (reshape keeps stale data).
-    lw.x_next_mv.reshape(lw.b_next_mv.nrows, lw.b_next_mv.ncols);
-    lw.x_next_mv.data.fill(0.0);
-    let visits = match cfg.cycle {
-        CycleType::V => 1,
-        CycleType::W | CycleType::F => 2,
-    };
-    for visit in 0..visits {
-        if cfg.cycle == CycleType::F && visit == 1 {
-            let mut vcfg = cfg.clone();
-            vcfg.cycle = CycleType::V;
-            vcycle_mv(
-                device,
-                &vcfg,
-                h,
-                k + 1,
-                &lw.b_next_mv,
-                &mut lw.x_next_mv,
-                poison,
-                ws,
-            );
-        } else {
-            vcycle_mv(
-                device,
-                cfg,
-                h,
-                k + 1,
-                &lw.b_next_mv,
-                &mut lw.x_next_mv,
-                poison,
-                ws,
-            );
-        }
-    }
-
-    let p = lvl.p.as_ref().expect("non-coarsest level has P");
-    p.spmm_into(&ctx, &lw.x_next_mv, &mut lw.op, &mut lw.e_mv);
-    vec_ops::axpy_mv(&ctx, 1.0, &lw.e_mv, x);
-
-    for _ in 0..cfg.num_sweeps {
-        smooth_mv(&ctx, cfg, lvl, b, x, &mut lw);
-    }
-    check_finite(poison, &x.data, lvl, k, "post-smoothing");
-    ws.levels[k] = lw;
-}
-
 /// Copy the selected columns of `src` into a compact batch, reusing `out`.
 fn gather_columns_into(src: &MultiVector, idx: &[usize], out: &mut MultiVector) {
     let n = src.nrows;
@@ -735,9 +713,9 @@ pub fn solve_batched_with_workspace(
         let _span = device.span(SpanKind::Region, SpanLabel::named("initial residual"));
         h.finest()
             .a
-            .spmm_into(&ctx0, x, &mut ws.outer.op, &mut ws.outer.ax_mv);
-        vec_ops::sub_mv_into(&ctx0, b, &ws.outer.ax_mv, &mut ws.outer.r_mv);
-        vec_ops::norms2_mv(&ctx0, &ws.outer.r_mv)
+            .spmm_into(&ctx0, x, &mut ws.outer_mv.op, &mut ws.outer_mv.ax);
+        vec_ops::sub_mv_into(&ctx0, b, &ws.outer_mv.ax, &mut ws.outer_mv.r);
+        vec_ops::norms2_mv(&ctx0, &ws.outer_mv.r)
     };
 
     let mut converged = vec![false; ncols];
@@ -775,16 +753,15 @@ pub fn solve_batched_with_workspace(
         let mut xc = std::mem::take(&mut ws.xc_mv);
         gather_columns_into(b, &active, &mut bc);
         gather_columns_into(x, &active, &mut xc);
-        let mut poison = None;
-        vcycle_mv(device, cfg, h, 0, &bc, &mut xc, &mut poison, ws);
+        let poison = cycle(device, cfg, h, 0, cfg.cycle, &bc, &mut xc, ws);
         iterations += 1;
 
         // Batched residual for the active columns only.
         h.finest()
             .a
-            .spmm_into(&ctx0, &xc, &mut ws.outer.op, &mut ws.outer.ax_mv);
-        vec_ops::sub_mv_into(&ctx0, &bc, &ws.outer.ax_mv, &mut ws.outer.r_mv);
-        let norms = vec_ops::norms2_mv(&ctx0, &ws.outer.r_mv);
+            .spmm_into(&ctx0, &xc, &mut ws.outer_mv.op, &mut ws.outer_mv.ax);
+        vec_ops::sub_mv_into(&ctx0, &bc, &ws.outer_mv.ax, &mut ws.outer_mv.r);
+        let norms = vec_ops::norms2_mv(&ctx0, &ws.outer_mv.r);
 
         let mut still_active = Vec::with_capacity(active.len());
         for (c, &j) in active.iter().enumerate() {
@@ -805,18 +782,8 @@ pub fn solve_batched_with_workspace(
                 ),
                 _ => monitors[j].observe(final_rel[j]),
             };
-            if let Some(mut ev) = event {
-                // Same finest-level attribution as the single-RHS path.
-                if ev.level.is_none() {
-                    ev.level = Some(0);
-                    ev.precision = Some(level_precision(device, cfg, 0).label());
-                }
-                ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-                if let Some(rec) = device.recorder() {
-                    rec.record_health(ev.clone());
-                }
-                device.flight_health(&ev);
-                health_events.push(ev);
+            if let Some(ev) = event {
+                emit_health(device, Some(cfg), ev, &mut health_events);
             }
             if monitors[j].should_abort() {
                 continue; // Drop the failed column from the active set.
@@ -852,22 +819,26 @@ pub fn solve_batched_with_workspace(
     }
 }
 
-/// Expected SpMV calls for a solve: the paper's Section V.A formulas.
+/// SpMV calls of one V-cycle application (the preconditioner's cost): each
+/// non-coarsest level runs `2 * sweeps + 3` SpMVs — with `sweeps = 1` the
+/// paper's five — plus the coarse level's iterative sweeps.
+pub(crate) fn cycle_spmv_calls(levels: usize, coarse: CoarseSolver, sweeps: usize) -> usize {
+    let coarse_extra = match coarse {
+        CoarseSolver::DirectLu | CoarseSolver::SparseLdl { .. } => 0,
+        CoarseSolver::Jacobi(s) => s,
+    };
+    (2 * sweeps + 3) * (levels - 1) + coarse_extra
+}
+
+/// Expected SpMV calls for a solve: the paper's Section V.A formulas — one
+/// cycle plus one outer residual per iteration, plus the initial residual.
 pub fn expected_spmv_calls(
     levels: usize,
     iterations: usize,
     coarse: CoarseSolver,
     sweeps: usize,
 ) -> usize {
-    // Per cycle: each non-coarsest level runs (2*sweeps + 3) SpMVs... with
-    // sweeps = 1 that is the paper's five; plus coarse-level extras; plus
-    // one outer residual per iteration; plus the initial residual.
-    let per_level = 2 * sweeps + 3;
-    let coarse_extra = match coarse {
-        CoarseSolver::DirectLu | CoarseSolver::SparseLdl { .. } => 0,
-        CoarseSolver::Jacobi(s) => s,
-    };
-    iterations * (per_level * (levels - 1) + coarse_extra + 1) + 1
+    iterations * (cycle_spmv_calls(levels, coarse, sweeps) + 1) + 1
 }
 
 #[cfg(test)]
@@ -1071,32 +1042,51 @@ mod tests {
     fn batched_solve_bitwise_matches_serial_columns() {
         // Each column of the batch must follow the exact arithmetic path a
         // standalone solve of that column takes (spmm is bitwise-equal to
-        // per-column spmv, and the MV vector ops reuse the scalar order).
+        // per-column spmv, and the MV vector ops reuse the scalar order),
+        // for every cycle type, smoother and coarse solver.
         let a = laplacian_2d(14, 14, Stencil2d::Five);
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.max_iterations = 6;
-        cfg.tolerance = 0.0;
-        let dev = Device::new(GpuSpec::a100());
-        let h = setup(&dev, &cfg, a.clone());
         let n = a.nrows();
         let cols: Vec<Vec<f64>> = (0..5)
             .map(|j| (0..n).map(|i| ((i * (j + 2)) as f64).sin()).collect())
             .collect();
         let b = amgt_kernels::spmm_mbsr::MultiVector::from_columns(&cols);
-        let mut x = amgt_kernels::spmm_mbsr::MultiVector::zeros(n, cols.len());
-        let rep = solve_batched(&dev, &cfg, &h, &b, &mut x);
-        assert_eq!(rep.iterations, 6);
-        for (j, col) in cols.iter().enumerate() {
-            let mut xs = vec![0.0; n];
-            solve(&dev, &cfg, &h, col, &mut xs);
-            for i in 0..n {
-                assert_eq!(
-                    x.get(i, j).to_bits(),
-                    xs[i].to_bits(),
-                    "col {j} row {i}: {} vs {}",
-                    x.get(i, j),
-                    xs[i]
-                );
+        let dev = Device::new(GpuSpec::a100());
+        for coarse in [
+            CoarseSolver::Jacobi(1),
+            CoarseSolver::DirectLu,
+            CoarseSolver::SparseLdl { reorder: true },
+        ] {
+            let mut cfg = AmgConfig::amgt_fp64();
+            cfg.max_iterations = 6;
+            cfg.tolerance = 0.0;
+            cfg.coarse_solver = coarse;
+            let h = setup(&dev, &cfg, a.clone());
+            for cycle in [CycleType::V, CycleType::W, CycleType::F] {
+                for smoother in [
+                    Smoother::L1Jacobi,
+                    Smoother::WeightedJacobi(0.8),
+                    Smoother::HybridGaussSeidel,
+                ] {
+                    cfg.cycle = cycle;
+                    cfg.smoother = smoother;
+                    let what = format!("{cycle:?}/{smoother:?}/{coarse:?}");
+                    let mut x = amgt_kernels::spmm_mbsr::MultiVector::zeros(n, cols.len());
+                    let rep = solve_batched(&dev, &cfg, &h, &b, &mut x);
+                    assert_eq!(rep.iterations, 6, "{what}");
+                    for (j, col) in cols.iter().enumerate() {
+                        let mut xs = vec![0.0; n];
+                        solve(&dev, &cfg, &h, col, &mut xs);
+                        for i in 0..n {
+                            assert_eq!(
+                                x.get(i, j).to_bits(),
+                                xs[i].to_bits(),
+                                "{what} col {j} row {i}: {} vs {}",
+                                x.get(i, j),
+                                xs[i]
+                            );
+                        }
+                    }
+                }
             }
         }
     }

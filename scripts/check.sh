@@ -19,6 +19,16 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> benchmark package: build + test perfbench against the current crates"
+# perfbench/ is a standalone package (its own workspace) that links the
+# repository crates through their public APIs, so a breaking API change
+# fails here instead of at benchmark time. It shares run.py's build dir.
+perfbench_target="${CARGO_TARGET_DIR:-.bench_build}"
+CARGO_TARGET_DIR="$perfbench_target" cargo build --release --offline -q \
+    --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$perfbench_target" cargo test --release --offline -q \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> exec-backend equivalence: native vs emulator, bitwise"
 cargo test --release -q -p amgt-integration-tests --test exec_equivalence
 
